@@ -1,12 +1,12 @@
 """Compile/execute-plane benchmarks for the campaign layer.
 
 Pytest surface over the shared bench plane: the 50-task cold/warm
-compile-cache pair and the pooled-backend matrix live in
+compile-cache pair and the 4-worker process-pool run live in
 :mod:`repro.bench.domains.campaign_backends`. This module runs the
 cold/warm pair through the harness and asserts the exact cache
-accounting plus the generous smoke floor; byte-identity across
-backends is the verify suite's ``diff_backend_equivalence`` oracle, and
-wall-time regressions are gated baseline-relative in CI.
+accounting plus the generous smoke floor; byte-identity between inline
+and pooled runs is the verify suite's ``diff_backend_equivalence``
+oracle, and wall-time regressions are gated baseline-relative in CI.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def test_compile_cache_cold_vs_warm():
 
 
 def test_pooled_backends_complete_the_campaign():
-    doc = run_benchmarks(["campaign.backend_thread"], repeats=1,
+    doc = run_benchmarks(["campaign.backend_process"], repeats=1,
                          warmup=0)
-    result = doc.results["campaign.backend_thread"]
+    result = doc.results["campaign.backend_process"]
     assert result.metrics["n_tasks"] == N_TASKS
-    print(f"thread backend, 4 workers: {result.min_s:.3f}s")
+    print(f"process pool, 4 workers: {result.min_s:.3f}s")

@@ -2,15 +2,16 @@
 
 The acceptance workload of the compile-plane PR — a 50-task single-world
 ``survey_pair`` campaign on the mini3 preset — timed cold (compile cache
-disabled, no precompilation: every task builds its world from scratch),
-warm (content-addressed cache + precompiled template), and warm under
-each pooled execution backend. The cold/warm speedup smoke floor is a
+disabled, so nothing is precompiled and every task builds its world from
+scratch), warm (content-addressed cache + precompiled template), and warm
+on a 4-worker process pool. The cold/warm speedup smoke floor is a
 generous 1.5x (the old hard 3x single-shot assert moved to the
 baseline-relative gate); cache accounting (exactly one build, >= one hit
 per task) stays exact because it is discrete, not a timing.
 
-Byte-identity across backends is *not* re-asserted here — that is the
-``diff_backend_equivalence`` oracle's job in the verify suite.
+Byte-identity between inline and pooled runs is *not* re-asserted here
+— that is the ``diff_backend_equivalence`` oracle's job in the verify
+suite.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def _survey_specs():
     return specs
 
 
-def _campaign(specs, out_dir: str, name: str, *, backend: str,
-              workers: int, cold: bool = False):
+def _campaign(specs, out_dir: str, name: str, *, workers: int,
+              cold: bool = False):
     """One campaign run into a throwaway artifact; stats returned."""
     path = Path(out_dir) / f"{name}.jsonl"
     if path.exists():
@@ -57,11 +58,9 @@ def _campaign(specs, out_dir: str, name: str, *, backend: str,
     if cold:
         with compile_cache_disabled():
             stats = run_campaign(specs, path, workers=workers,
-                                 backend=backend, precompile=False,
                                  resume=False)
     else:
-        stats = run_campaign(specs, path, workers=workers,
-                             backend=backend, resume=False)
+        stats = run_campaign(specs, path, workers=workers, resume=False)
     assert stats.completed == N_TASKS
     return stats
 
@@ -81,21 +80,19 @@ class _State:
            description=f"{N_TASKS}-task survey, compile cache disabled "
                        "(every task builds its world from scratch)")
 def _cold(ctx, state):
-    _campaign(state.specs, state.out_dir, "cold", backend="inline",
-              workers=0, cold=True)
+    _campaign(state.specs, state.out_dir, "cold", workers=0, cold=True)
     return {"n_tasks": float(N_TASKS)}
 
 
 @benchmark("campaign.compile_warm", setup=_State, repeats=3, warmup=1,
            tags=("campaign", "compile"),
            description=f"{N_TASKS}-task survey through the "
-                       "content-addressed compile cache, inline backend")
+                       "content-addressed compile cache, run inline")
 def _warm(ctx, state):
     reg = global_registry()
     builds_before = reg.counter("compile.builds")
     hits_before = reg.counter("compile.cache.hits")
-    _campaign(state.specs, state.out_dir, "warm", backend="inline",
-              workers=0)
+    _campaign(state.specs, state.out_dir, "warm", workers=0)
     return {
         "n_tasks": float(N_TASKS),
         "compile_builds": reg.counter("compile.builds") - builds_before,
@@ -104,20 +101,13 @@ def _warm(ctx, state):
     }
 
 
-def _pooled(backend: str):
-    def fn(ctx, state):
-        _campaign(state.specs, state.out_dir, backend, backend=backend,
-                  workers=4)
-        return {"n_tasks": float(N_TASKS), "workers": 4.0}
-    return fn
-
-
-for _backend in ("process", "thread", "chunked"):
-    benchmark(f"campaign.backend_{_backend}", setup=_State, repeats=2,
-              warmup=0, tags=("campaign", "backend", _backend),
-              description=f"{N_TASKS}-task survey on the {_backend} "
-                          "backend, 4 workers, warm cache")(
-        _pooled(_backend))
+@benchmark("campaign.backend_process", setup=_State, repeats=2, warmup=0,
+           tags=("campaign", "backend", "process"),
+           description=f"{N_TASKS}-task survey on a 4-worker process "
+                       "pool, warm cache")
+def _pooled(ctx, state):
+    _campaign(state.specs, state.out_dir, "process", workers=4)
+    return {"n_tasks": float(N_TASKS), "workers": 4.0}
 
 
 def _smoke_compile(doc):

@@ -77,7 +77,7 @@ class _CampaignState:
         # resume the first repeat's slices and time a partial run.
         shutil.rmtree(snapshot_dir_for(path), ignore_errors=True)
         stats = run_campaign(self.specs, path, workers=WORKERS,
-                             backend="process", resume=False, **kwargs)
+                             resume=False, **kwargs)
         assert stats.completed == N_TASKS
         return stats
 

@@ -63,8 +63,6 @@ HARNESS_MANIFEST: Dict[str, Tuple[str, ...]] = {
         "campaign.compile_cold",
         "campaign.compile_warm",
         "campaign.backend_process",
-        "campaign.backend_thread",
-        "campaign.backend_chunked",
     ),
     "test_medium_sampling_scale": (
         "medium.plc.sample_scalar",

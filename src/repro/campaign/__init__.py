@@ -15,14 +15,6 @@ See ``docs/architecture.md`` ("The campaign layer") for the determinism and
 resume contracts.
 """
 
-from repro.campaign.backends import (
-    BACKEND_NAMES,
-    ChunkedBackend,
-    InlineBackend,
-    ProcessBackend,
-    ThreadBackend,
-    create_backend,
-)
 from repro.campaign.artifacts import (
     ArtifactWriter,
     QuarantineEntry,
@@ -61,12 +53,6 @@ from repro.campaign.tasks import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
-    "ChunkedBackend",
-    "InlineBackend",
-    "ProcessBackend",
-    "ThreadBackend",
-    "create_backend",
     "ArtifactWriter",
     "QuarantineEntry",
     "QuarantineWriter",

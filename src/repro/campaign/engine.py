@@ -1,13 +1,12 @@
 """The parallel campaign engine: the *policy* half of the campaign path.
 
-Fans a list of :class:`ExperimentSpec` out across an
-:class:`~repro.campaign.backends.ExecutionBackend` and collects
-artifacts, with:
+Fans a list of :class:`ExperimentSpec` out across an executor (inline
+at ``workers=0``, else a process pool — see :mod:`repro.campaign.backends`)
+and collects artifacts, with:
 
 * **deterministic seeding** — every task's world is a pure function of its
   spec (`seed` + :meth:`ExperimentSpec.task_seed`), so artifacts are
-  bit-identical at any worker count *and any backend* (inline, process,
-  thread, chunked — see :mod:`repro.campaign.backends`);
+  bit-identical at any worker count, inline or pooled;
 * **per-task timeout and retry** — failed or timed-out attempts are
   resubmitted with exponential backoff, up to ``retries`` times;
 * **a circuit breaker** — more than ``max_failures`` permanently failed
@@ -15,12 +14,12 @@ artifacts, with:
 * **resume** — specs whose task keys already sit in the artifact file are
   skipped, so an interrupted campaign continues where it stopped;
 * **precompile** — distinct testbed worlds the spec list needs are
-  compiled into the :mod:`repro.compile` cache before the backend
+  compiled into the :mod:`repro.compile` cache before the executor
   starts, so (fork-started) pool workers inherit them read-only.
 
-The engine never touches an executor directly: it submits batches,
-waits on futures, and applies policy to the outcomes. Mechanism —
-pools, chunking, IPC — lives entirely in the backend.
+The engine submits one spec per future, waits on futures, and applies
+policy to the outcomes; what runs in the worker lives in
+:mod:`repro.campaign.backends`.
 
 **Clock discipline.** Every engine-side epoch — the run's wall-clock
 span, retry-heap deadlines, timeout expiry, wait budgets — is read from
@@ -36,7 +35,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -48,11 +52,7 @@ from repro.campaign.artifacts import (
     TaskArtifact,
     quarantine_path_for,
 )
-from repro.campaign.backends import (
-    BACKEND_NAMES,
-    create_backend,
-    run_task_payload as _run_task_payload,  # noqa: F401 — back-compat name
-)
+from repro.campaign.backends import InlineExecutor, run_task_payload
 from repro.campaign.spec import (
     ExperimentSpec,
     check_specs,
@@ -99,14 +99,6 @@ class EngineConfig:
     #: result artifact: its bytes are identical with tracing on or off,
     #: and the sidecar itself is canonical at any worker count.
     trace: bool = False
-    #: Execution mechanism (see :mod:`repro.campaign.backends`).
-    #: ``auto`` = ``inline`` when ``workers == 0``, else ``process``.
-    backend: str = "auto"
-    #: Specs per pool round-trip for the ``chunked`` backend.
-    chunk_size: int = 8
-    #: Compile the spec list's distinct testbed worlds into the process-
-    #: wide cache before the backend starts (fork-inherited by workers).
-    precompile: bool = True
     #: Time-sliced execution: split every ``scenario`` task whose horizon
     #: exceeds this many simulated seconds into chained slices — each
     #: slice checkpoints the simulation world (``repro.snapshot``) and
@@ -124,12 +116,6 @@ class EngineConfig:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(known: {', '.join(BACKEND_NAMES)})")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if self.slice_horizon_s is not None and self.slice_horizon_s <= 0:
             raise ValueError("slice horizon must be positive")
 
@@ -204,15 +190,12 @@ class CampaignEngine:
                 stats.note_resumed(len(self.specs) - len(pending))
                 self.progress("resumed", f"{stats.resumed} tasks", stats)
             pending = self._expand_slices(pending)
-            if cfg.precompile and pending:
-                # Before the backend exists: a fork-started pool spawned
+            if pending:
+                # Before the executor exists: a fork-started pool spawned
                 # after this point inherits the compiled worlds.
                 from repro.compile import precompile_specs
                 precompile_specs(pending)
-            backend = create_backend(cfg.backend, cfg.workers,
-                                     cfg.chunk_size)
-            global_registry().inc(f"backend.selected.{backend.name}")
-            self._run_backend(pending, writer, stats, backend)
+            self._run_tasks(pending, writer, stats)
             writer.finalize()
             if self._quarantine is not None:
                 self._quarantine.finalize(writer.completed_keys())
@@ -382,49 +365,44 @@ class CampaignEngine:
         return min(self.config.backoff_cap_s,
                    self.config.backoff_base_s * (2.0 ** attempt))
 
-    # --- the policy loop (any backend) ----------------------------------------
+    # --- the policy loop ------------------------------------------------------
 
-    def _run_backend(self, pending: Sequence[ExperimentSpec],
-                     writer: ArtifactWriter, stats: CampaignStats,
-                     backend) -> None:
-        """Drive ``backend`` over ``pending``, applying all policy.
+    def _run_tasks(self, pending: Sequence[ExperimentSpec],
+                   writer: ArtifactWriter, stats: CampaignStats) -> None:
+        """Run ``pending`` one spec per future, applying all policy.
 
-        One loop serves every backend: the inline backend is a
-        capacity-1 executor whose futures complete at submit time, the
-        pools differ only in capacity and chunk size. Batches are the
-        unit of flight; specs remain the unit of retry, timeout
-        accounting and artifact ordering.
+        One loop serves both executors: the inline one is a capacity-1
+        executor whose futures complete at submit time, the pool keeps
+        ``workers`` attempts in flight. A spec is the unit of flight,
+        retry, timeout accounting and artifact ordering.
         """
         cfg = self.config
-        reg = global_registry()
+        capacity = max(1, cfg.workers)
         queue = deque((spec, 0) for spec in pending)
         #: (ready_time, tiebreak, spec, attempt) — retries waiting out
         #: their backoff.
         retry_heap: List[Tuple[float, int, ExperimentSpec, int]] = []
         tiebreak = itertools.count()
-        #: future -> ([(spec, attempt), ...], submitted_at).
-        in_flight: Dict[object, Tuple[List[Tuple[ExperimentSpec, int]],
-                                      float]] = {}
+        #: future -> (spec, attempt, submitted_at).
+        in_flight: Dict[Future, Tuple[ExperimentSpec, int, float]] = {}
         abandoned = 0
+        executor = (InlineExecutor() if cfg.workers == 0
+                    else ProcessPoolExecutor(max_workers=cfg.workers))
         try:
             while queue or retry_heap or in_flight:
                 now = self.clock.now()
                 while retry_heap and retry_heap[0][0] <= now:
                     _, _, spec, attempt = heapq.heappop(retry_heap)
                     queue.appendleft((spec, attempt))
-                # Keep at most ``capacity`` batches in flight so a
-                # submitted batch starts ~immediately and its timeout
+                # Keep at most ``capacity`` attempts in flight so a
+                # submitted attempt starts ~immediately and its timeout
                 # clock measures compute, not queueing.
-                while queue and len(in_flight) < backend.capacity:
-                    batch = [queue.popleft()
-                             for _ in range(min(backend.chunk_size,
-                                                len(queue)))]
-                    future = backend.submit(
-                        [(spec.to_dict(), attempt)
-                         for spec, attempt in batch], cfg.trace)
-                    in_flight[future] = (batch, now)
-                    reg.inc("backend.batches")
-                    reg.inc("backend.tasks", len(batch))
+                while queue and len(in_flight) < capacity:
+                    spec, attempt = queue.popleft()
+                    future = executor.submit(run_task_payload,
+                                             spec.to_dict(), attempt,
+                                             cfg.trace)
+                    in_flight[future] = (spec, attempt, now)
                 wait_s = self._wait_budget(retry_heap, in_flight, now)
                 if not in_flight:
                     self.clock.sleep(wait_s)
@@ -432,37 +410,31 @@ class CampaignEngine:
                 done, _ = wait(set(in_flight), timeout=wait_s,
                                return_when=FIRST_COMPLETED)
                 for future in done:
-                    batch, _ = in_flight.pop(future)
-                    error = future.exception()
-                    if error is not None:
+                    spec, attempt, _ = in_flight.pop(future)
+                    infra_error = future.exception()
+                    if infra_error is not None:
                         # Infrastructure failure (broken pool, unpickle-
-                        # able payload): every member fails this attempt.
-                        reg.inc("backend.infra_failures")
-                        for spec, attempt in batch:
-                            self._handle_failure(spec, attempt,
-                                                 repr(error), retry_heap,
-                                                 tiebreak, stats)
-                        continue
-                    for (spec, attempt), result in zip(batch,
-                                                       future.result()):
-                        task_error = result.get("error")
-                        if task_error is not None:
-                            self._handle_failure(spec, attempt,
-                                                 task_error, retry_heap,
-                                                 tiebreak, stats)
-                        else:
-                            self._finish_result(result, queue, writer,
-                                                stats)
+                        # able payload): this attempt fails.
+                        global_registry().inc("backend.infra_failures")
+                        error = repr(infra_error)
+                    else:
+                        result = future.result()
+                        error = result.get("error")
+                    if error is None:
+                        self._finish_result(result, queue, writer, stats)
+                    else:
+                        self._handle_failure(spec, attempt, error,
+                                             retry_heap, tiebreak, stats)
                 abandoned += self._expire_timeouts(
                     in_flight, retry_heap, tiebreak, stats)
         except BaseException:
-            backend.shutdown(wait=False, cancel_futures=True)
+            executor.shutdown(wait=False, cancel_futures=True)
             raise
         # Timed-out attempts may still be running in the pool; don't
         # block campaign completion on them (the interpreter reaps the
         # stragglers at exit).
-        backend.shutdown(wait=(abandoned == 0),
-                         cancel_futures=(abandoned > 0))
+        executor.shutdown(wait=(abandoned == 0),
+                          cancel_futures=(abandoned > 0))
 
     def _handle_failure(self, spec: ExperimentSpec, attempt: int,
                         error: str, retry_heap, tiebreak,
@@ -481,28 +453,23 @@ class CampaignEngine:
 
     def _expire_timeouts(self, in_flight, retry_heap, tiebreak,
                          stats: CampaignStats) -> int:
-        """Abandon in-flight batches past the attempt budget.
-
-        The timeout is per *batch* submission (a batch is one attempt's
-        worth of pool occupancy); every member of an expired batch is
-        counted and retried individually.
-        """
+        """Abandon in-flight attempts past the per-task budget; each is
+        counted as a timeout and retried (or failed) individually."""
         if self.config.timeout_s is None:
             return 0
         now = self.clock.now()
-        expired = [f for f, (_, submitted) in in_flight.items()
+        expired = [f for f, (_, _, submitted) in in_flight.items()
                    if now - submitted > self.config.timeout_s]
         for future in expired:
-            batch, _ = in_flight.pop(future)
+            spec, attempt, _ = in_flight.pop(future)
             future.cancel()  # a no-op if already running — we abandon it
-            for spec, attempt in batch:
-                stats.note_timeout()
-                self.progress("timeout", spec.task_key(), stats)
-                self._handle_failure(
-                    spec, attempt,
-                    f"TimeoutError(attempt exceeded "
-                    f"{self.config.timeout_s:g}s)", retry_heap, tiebreak,
-                    stats)
+            stats.note_timeout()
+            self.progress("timeout", spec.task_key(), stats)
+            self._handle_failure(
+                spec, attempt,
+                f"TimeoutError(attempt exceeded "
+                f"{self.config.timeout_s:g}s)", retry_heap, tiebreak,
+                stats)
         return len(expired)
 
     def _wait_budget(self, retry_heap, in_flight, now: float) -> float:
@@ -513,7 +480,7 @@ class CampaignEngine:
         if self.config.timeout_s is not None and in_flight:
             next_deadline = min(
                 submitted + self.config.timeout_s
-                for _, submitted in in_flight.values())
+                for _, _, submitted in in_flight.values())
             budget = min(budget, max(0.0, next_deadline - now))
         return max(budget, 0.01)
 

@@ -15,16 +15,7 @@ from __future__ import annotations
 import difflib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
 
@@ -32,7 +23,6 @@ from repro.campaign.spec import ExperimentSpec
 from repro.compile import checkout_testbed
 from repro.sim.clock import MainsClock
 from repro.sim.random import RandomStreams
-from repro.testbed.builder import Testbed
 
 
 @dataclass
@@ -197,21 +187,6 @@ def _start_time(params: Dict[str, object]) -> float:
 # --- survey -------------------------------------------------------------------
 
 
-def run_survey_inline(testbed: Testbed, t_start: float, duration: float,
-                      report_interval: float,
-                      pairs: Sequence[Tuple[int, int]]):
-    """Serial survey over a prebuilt testbed (the engine's inline path).
-
-    :func:`repro.testbed.experiments.survey_pairs` delegates here so the
-    one-process survey and the parallel campaign share the measurement
-    code; importing lazily avoids a cycle with ``testbed.experiments``.
-    """
-    from repro.testbed.experiments import measure_pair
-
-    return [measure_pair(testbed, i, j, t_start, duration,
-                         report_interval) for i, j in pairs]
-
-
 @register_task("survey_pair", uses_testbed=True,
                params=("day", "hour", "duration_s", "interval_s"),
                required=("src", "dst"))
@@ -238,11 +213,32 @@ def _survey_pair(spec: ExperimentSpec, attempt: int) -> TaskOutput:
 # --- scenario -----------------------------------------------------------------
 
 
+#: ``Snapshot.kind`` of the checkpoint one scenario slice leaves behind.
+SLICE_CHECKPOINT_KIND = "scenario-slice"
+
+
+@register_task("scenario_slice", uses_testbed=True,
+               params=("day", "hour", "horizon_s", "quantum_s"),
+               required=("scenario", "slice_index", "num_slices",
+                         "slice_horizon_s", "store", "original_key"))
 @register_task("scenario", uses_testbed=True,
                params=("day", "hour", "horizon_s", "quantum_s"),
                required=("scenario",))
 def _scenario(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     """Run a named library scenario through the fluid runner.
+
+    The straight ``scenario`` kind is the single-slice case. A
+    ``scenario_slice`` spec is one time slice of a long-horizon task:
+    slice 0 starts the run and pauses at the first slice boundary;
+    slice ``k`` restores checkpoint ``k-1`` from the snapshot ``store``
+    and continues. The *final* slice (``num_slices - 1``, or any slice
+    in which the scenario ends early) returns exactly the records and
+    stats of a straight run — the engine rewrites its identity back to
+    ``original_key``, so the artifact is byte-identical to an unsliced
+    run. Intermediate slices checkpoint and report back through
+    ``TaskOutput.control``. A re-run slice restores the same immutable
+    checkpoint into a fresh testbed, so crash-resume stays
+    deterministic.
 
     The runner publishes its sim-time events into the task's current
     tracer (:func:`repro.obs.current_tracer` — a no-op unless the engine
@@ -253,108 +249,81 @@ def _scenario(spec: ExperimentSpec, attempt: int) -> TaskOutput:
     from repro.obs.trace import current_tracer
 
     p = spec.params_dict
-    testbed = checkout_testbed(spec.preset, seed=spec.seed)
-    scenario = build_scenario(str(p["scenario"]), _start_time(p))
-    runner = ScenarioRunner(testbed,
-                            quantum_s=float(p.get("quantum_s", 0.5)),
-                            check_invariants=True,
-                            tracer=current_tracer())
-    results = runner.run(scenario,
-                         horizon_s=float(p.get("horizon_s", 900.0)))
-    records = [results[name].to_dict() for name in sorted(results)]
-    return TaskOutput(records=records, stats=runner.stats.to_dict())
-
-
-#: ``Snapshot.kind`` of the checkpoint one scenario slice leaves behind.
-SLICE_CHECKPOINT_KIND = "scenario-slice"
-
-
-@register_task("scenario_slice", uses_testbed=True,
-               params=("day", "hour", "horizon_s", "quantum_s"),
-               required=("scenario", "slice_index", "num_slices",
-                         "slice_horizon_s", "store", "original_key"))
-def _scenario_slice(spec: ExperimentSpec, attempt: int) -> TaskOutput:
-    """One time slice of a long-horizon ``scenario`` task.
-
-    Slice 0 starts the run and pauses at the first slice boundary;
-    slice ``k`` restores checkpoint ``k-1`` from the snapshot ``store``
-    and continues. The *final* slice (``num_slices - 1``, or any slice
-    in which the scenario ends early) returns exactly the records and
-    stats the straight ``scenario`` kind would have returned — the
-    engine rewrites its identity back to ``original_key``, so the
-    artifact is byte-identical to an unsliced run. Intermediate slices
-    checkpoint and report back through ``TaskOutput.control``.
-
-    Determinism across crash-resume comes for free: a re-run slice
-    restores the same immutable checkpoint into a fresh testbed.
-    """
-    from pathlib import Path
-
-    from repro.netsim.runner import ScenarioRunner
-    from repro.netsim.scenario import build_scenario
-    from repro.obs.trace import TraceEvent, current_tracer
-    from repro.snapshot.codec import Snapshot
-    from repro.snapshot.store import SnapshotStore
-
-    p = spec.params_dict
-    index = int(p["slice_index"])
-    num_slices = int(p["num_slices"])
-    slice_horizon = float(p["slice_horizon_s"])
-    horizon = float(p.get("horizon_s", 900.0))
-    original_key = str(p["original_key"])
-    store = SnapshotStore(Path(str(p["store"])))
-
+    index = int(p.get("slice_index", 0))
+    num_slices = int(p.get("num_slices", 1))
     testbed = checkout_testbed(spec.preset, seed=spec.seed)
     scenario = build_scenario(str(p["scenario"]), _start_time(p))
     tracer = current_tracer()
     runner = ScenarioRunner(testbed,
                             quantum_s=float(p.get("quantum_s", 0.5)),
                             check_invariants=True, tracer=tracer)
-    t0 = min(f.start_s for f in scenario.flows)
-    until = (None if index >= num_slices - 1
-             else t0 + (index + 1) * slice_horizon)
+    until = None
+    if index < num_slices - 1:
+        t0 = min(f.start_s for f in scenario.flows)
+        until = t0 + (index + 1) * float(p["slice_horizon_s"])
     if index == 0:
-        results = runner.run(scenario, horizon_s=horizon, until_s=until)
+        results = runner.run(scenario,
+                             horizon_s=float(p.get("horizon_s", 900.0)),
+                             until_s=until)
     else:
-        checkpoint = store.load(original_key, index - 1)
-        if checkpoint.kind != SLICE_CHECKPOINT_KIND:
-            raise ValueError(
-                f"checkpoint {index - 1} for {original_key} has kind "
-                f"{checkpoint.kind!r}, expected "
-                f"{SLICE_CHECKPOINT_KIND!r}")
-        chain = checkpoint.payload.get("chain", {})
-        if (chain.get("slice_horizon_s") != slice_horizon
-                or chain.get("num_slices") != num_slices
-                or chain.get("horizon_s") != horizon):
-            raise ValueError(
-                f"checkpoint {index - 1} for {original_key} belongs to "
-                f"a different slicing plan ({chain}); re-run from "
-                f"slice 0")
-        stored_trace = checkpoint.payload.get("trace")
-        if tracer.enabled and stored_trace:
-            # Prepend the earlier slices' sim-time events so the final
-            # sidecar is byte-identical to the straight run's.
-            tracer.events.extend(TraceEvent.from_dict(event)
-                                 for event in stored_trace)
-        results = runner.resume(
-            scenario,
-            Snapshot(kind="scenario-runner",
-                     payload=checkpoint.payload["runner"]),
-            until_s=until)
+        results = runner.resume(scenario,
+                                _load_slice(p, index - 1, tracer),
+                                until_s=until)
     if runner.paused:
-        payload = {
-            "runner": runner.snapshot(scenario, results).payload,
-            "chain": {"slice_horizon_s": slice_horizon,
-                      "num_slices": num_slices, "horizon_s": horizon},
-            "trace": tracer.to_dicts() if tracer.enabled else None,
-        }
-        store.save(original_key, index,
-                   Snapshot(kind=SLICE_CHECKPOINT_KIND, payload=payload))
+        _save_slice(p, index, runner.snapshot(scenario, results), tracer)
         return TaskOutput(records=[],
                           control={"slice_paused": True,
                                    "slice_index": index})
     records = [results[name].to_dict() for name in sorted(results)]
     return TaskOutput(records=records, stats=runner.stats.to_dict())
+
+
+def _slice_chain(p: Dict[str, object]) -> Dict[str, object]:
+    """The slicing plan a checkpoint belongs to."""
+    return {"slice_horizon_s": float(p["slice_horizon_s"]),
+            "num_slices": int(p["num_slices"]),
+            "horizon_s": float(p.get("horizon_s", 900.0))}
+
+
+def _save_slice(p: Dict[str, object], index: int, runner_snapshot,
+                tracer) -> None:
+    """Checkpoint a paused slice (with the trace so far) for the next."""
+    from repro.snapshot.codec import Snapshot
+    from repro.snapshot.store import SnapshotStore
+
+    payload = {"runner": runner_snapshot.payload, "chain": _slice_chain(p),
+               "trace": tracer.to_dicts() if tracer.enabled else None}
+    SnapshotStore(str(p["store"])).save(
+        str(p["original_key"]), index,
+        Snapshot(kind=SLICE_CHECKPOINT_KIND, payload=payload))
+
+
+def _load_slice(p: Dict[str, object], index: int, tracer):
+    """Checkpoint ``index`` as a runner snapshot, refusing one left by a
+    different slicing plan. When tracing, the earlier slices' sim-time
+    events are prepended so the final sidecar is byte-identical to the
+    straight run's."""
+    from repro.obs.trace import TraceEvent
+    from repro.snapshot.codec import Snapshot
+    from repro.snapshot.store import SnapshotStore
+
+    original_key = str(p["original_key"])
+    checkpoint = SnapshotStore(str(p["store"])).load(original_key, index)
+    if checkpoint.kind != SLICE_CHECKPOINT_KIND:
+        raise ValueError(
+            f"checkpoint {index} for {original_key} has kind "
+            f"{checkpoint.kind!r}, expected {SLICE_CHECKPOINT_KIND!r}")
+    chain = checkpoint.payload.get("chain", {})
+    if chain != _slice_chain(p):
+        raise ValueError(
+            f"checkpoint {index} for {original_key} belongs to a "
+            f"different slicing plan ({chain}); re-run from slice 0")
+    stored_trace = checkpoint.payload.get("trace")
+    if tracer.enabled and stored_trace:
+        tracer.events.extend(TraceEvent.from_dict(event)
+                             for event in stored_trace)
+    return Snapshot(kind="scenario-runner",
+                    payload=checkpoint.payload["runner"])
 
 
 # --- BLE polling --------------------------------------------------------------

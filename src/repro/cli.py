@@ -241,7 +241,6 @@ def cmd_campaign(args) -> int:
         stats = run_campaign(
             specs, args.out, name=f"{args.kind}-{args.preset}",
             workers=args.workers, progress=progress,
-            backend=args.backend, chunk_size=args.chunk_size,
             timeout_s=args.timeout, retries=args.retries,
             max_failures=args.max_failures, resume=not args.no_resume,
             quarantine=args.quarantine, trace=args.trace,
@@ -693,17 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--workers", type=int, default=1,
                             help="worker processes; 0 = run inline "
                                  "(default 1)")
-    p_campaign.add_argument("--backend",
-                            choices=("auto", "inline", "process",
-                                     "thread", "chunked"),
-                            default="auto",
-                            help="execution backend (default auto: "
-                                 "inline when --workers 0, else "
-                                 "process); artifacts are byte-identical "
-                                 "across backends")
-    p_campaign.add_argument("--chunk-size", type=int, default=8,
-                            help="chunked backend: specs per pool "
-                                 "round-trip (default 8)")
     p_campaign.add_argument("--pairs",
                             help="survey: directed pairs, e.g. 0-1,1-0")
     p_campaign.add_argument("--max-pairs", type=int, default=0,

@@ -196,9 +196,9 @@ def compiled_testbed(preset: str, seed: int = 7,
                      ) -> CompiledTestbed:
     """Compile through the process-wide content-addressed cache.
 
-    Thread-safe (the ``thread`` execution backend shares this cache
-    across workers); the lock also makes the build single-flight, so
-    concurrent first checkouts of one world compile it once.
+    Thread-safe: the lock also makes the build single-flight, so
+    concurrent first checkouts of one world from threads of one process
+    compile it once.
     """
     reg = metrics if metrics is not None else global_registry()
     fingerprint = testbed_fingerprint(preset)
@@ -238,15 +238,18 @@ def precompile_specs(specs: Iterable, metrics: Optional[MetricsRegistry]
                      = None) -> int:
     """Warm the cache for every distinct world a spec list will need.
 
-    Called by the campaign engine before starting a pooled backend, so
-    forked workers inherit the compiled templates read-only instead of
-    each building their own. Only kinds that declare
+    Called by the campaign engine before it starts its executor, so
+    forked pool workers inherit the compiled templates read-only instead
+    of each building their own. Only kinds that declare
     ``uses_testbed=True`` at registration count — an ``rng_probe``
-    campaign compiles nothing. Returns the number of worlds compiled or
-    touched.
+    campaign compiles nothing — and inside :func:`compile_cache_disabled`
+    nothing is compiled either (there is no cache to warm). Returns the
+    number of worlds compiled or touched.
     """
     from repro.campaign.tasks import task_uses_testbed
 
+    if not _cache_enabled:
+        return 0
     worlds: Dict[Tuple[str, int], None] = {}
     for spec in specs:
         if task_uses_testbed(spec.kind):

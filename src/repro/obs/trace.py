@@ -114,9 +114,9 @@ NULL_TRACER = Tracer(enabled=False)
 
 # --- the per-task current tracer ----------------------------------------------
 
-#: Thread-local slot: the ``thread`` execution backend runs several
-#: tasks concurrently in one process, so a process-global here would let
-#: overlapping :func:`task_trace` installs capture each other's events.
+#: Thread-local slot: tasks run concurrently on threads of one process
+#: would otherwise let overlapping :func:`task_trace` installs capture
+#: each other's events.
 _CURRENT = threading.local()
 
 

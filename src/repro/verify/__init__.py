@@ -50,7 +50,6 @@ from repro.verify.metamorphic import (
 from repro.verify.oracles import (
     diff_default_horizon,
     diff_fault_replay,
-    diff_inline_vs_pool,
     diff_scalar_vs_vectorized,
     diff_seed_relabeling,
     diff_traced_vs_untraced,
@@ -85,7 +84,6 @@ __all__ = [
     "check_time_shift",
     "diff_default_horizon",
     "diff_fault_replay",
-    "diff_inline_vs_pool",
     "diff_scalar_vs_vectorized",
     "diff_seed_relabeling",
     "diff_traced_vs_untraced",

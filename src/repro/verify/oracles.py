@@ -159,35 +159,16 @@ def _artifact_bytes_delta(path_a: Path, path_b: Path, label_a: str,
     return ["artifacts differ (same lines, different bytes)"]
 
 
-def diff_inline_vs_pool(specs: Sequence, out_dir: Path,
-                        workers: int = 2, name: str = "verify"
-                        ) -> List[str]:
-    """Campaign artifacts must be byte-identical at any worker count."""
-    from repro.campaign.engine import run_campaign
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path_inline = out_dir / "inline.jsonl"
-    path_pool = out_dir / f"pool{workers}.jsonl"
-    run_campaign(specs, path_inline, name=name, workers=0, resume=False)
-    run_campaign(specs, path_pool, name=name, workers=workers,
-                 resume=False)
-    return _artifact_bytes_delta(path_inline, path_pool, "inline",
-                                 f"pool({workers})")
-
-
 def diff_backend_equivalence(specs: Sequence, out_dir: Path,
-                             backends: Sequence[Tuple[str, int]] = (
-                                 ("inline", 0), ("process", 4),
-                                 ("thread", 4), ("chunked", 4)),
-                             chunk_size: int = 3, name: str = "verify",
+                             pool_workers: Sequence[int] = (2, 4),
+                             name: str = "verify",
                              trace: bool = True) -> List[str]:
     """The execute plane's core promise: artifacts (and trace sidecars)
-    are byte-identical whichever :mod:`repro.campaign.backends` mechanism
-    ran the campaign, at any worker count.
+    are byte-identical whether the campaign ran inline or on a process
+    pool, at any worker count.
 
-    ``backends`` is a list of ``(backend_name, workers)`` pairs; the
-    first entry is the reference the rest are compared against.
+    The inline run (``workers=0``) is the reference each pool size in
+    ``pool_workers`` is compared against.
     """
     from repro.campaign.engine import run_campaign
     from repro.obs.trace import trace_path_for
@@ -195,12 +176,12 @@ def diff_backend_equivalence(specs: Sequence, out_dir: Path,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for backend, workers in backends:
-        path = out_dir / f"{backend}-w{workers}.jsonl"
+    for workers in (0, *pool_workers):
+        path = out_dir / f"w{workers}.jsonl"
         run_campaign(specs, path, name=name, workers=workers,
-                     backend=backend, chunk_size=chunk_size,
                      resume=False, trace=trace)
-        paths.append((f"{backend}(w{workers})", path))
+        paths.append(("inline" if workers == 0 else f"pool({workers})",
+                      path))
     diffs: List[str] = []
     ref_label, ref_path = paths[0]
     for label, path in paths[1:]:
@@ -215,14 +196,13 @@ def diff_backend_equivalence(specs: Sequence, out_dir: Path,
 
 def diff_slice_equivalence(specs: Sequence, out_dir: Path,
                            slice_counts: Sequence[int] = (1, 4, 16),
-                           backends: Sequence[Tuple[str, int]] = (
-                               ("inline", 0), ("process", 4)),
+                           worker_counts: Sequence[int] = (0, 4),
                            name: str = "verify",
                            trace: bool = True) -> List[str]:
     """Time-sliced execution's headline guarantee: a campaign whose long
     scenario tasks are split into K checkpointed slices produces an
     artifact (and trace sidecar) byte-identical to the straight run, at
-    any K and on any backend.
+    any K, inline or pooled.
 
     The straight reference runs inline without slicing; each comparison
     run slices at ``horizon / K`` where ``horizon`` is the largest
@@ -245,11 +225,11 @@ def diff_slice_equivalence(specs: Sequence, out_dir: Path,
                  trace=trace)
     diffs: List[str] = []
     for count in slice_counts:
-        for backend, workers in backends:
-            label = f"sliced(K={count},{backend},w{workers})"
-            path = out_dir / f"sliced-k{count}-{backend}-w{workers}.jsonl"
+        for workers in worker_counts:
+            label = f"sliced(K={count},w{workers})"
+            path = out_dir / f"sliced-k{count}-w{workers}.jsonl"
             run_campaign(specs, path, name=name, workers=workers,
-                         backend=backend, resume=False, trace=trace,
+                         resume=False, trace=trace,
                          slice_horizon_s=horizon / count)
             diffs.extend(_artifact_bytes_delta(ref_path, path,
                                                "straight", label))

@@ -223,9 +223,6 @@ def _campaign_checks(report: VerifyReport, preset: str,
     specs = probes + [scenario_spec, survey_spec]
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
         report.add(from_messages(
-            "oracle.inline_vs_pool", f"campaign:{preset}",
-            oracles.diff_inline_vs_pool(specs, Path(tmp) / "pool")))
-        report.add(from_messages(
             "oracle.traced_vs_untraced", f"campaign:{preset}",
             oracles.diff_traced_vs_untraced(specs,
                                             Path(tmp) / "trace")))

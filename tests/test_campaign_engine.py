@@ -180,8 +180,8 @@ def test_expire_timeouts_abandons_only_overdue_attempts(tmp_path):
         clock=clock)
     now = clock.now()
     stale, fresh = Future(), Future()
-    in_flight = {stale: ([(spec_old, 0)], now - 5.0),
-                 fresh: ([(spec_new, 0)], now - 0.01)}
+    in_flight = {stale: (spec_old, 0, now - 5.0),
+                 fresh: (spec_new, 0, now - 0.01)}
     heap, stats = [], CampaignStats()
     abandoned = engine._expire_timeouts(in_flight, heap,
                                         itertools.count(), stats)
@@ -191,6 +191,36 @@ def test_expire_timeouts_abandons_only_overdue_attempts(tmp_path):
     _, _, spec, attempt = heap[0]
     assert spec.task_key() == spec_old.task_key()
     assert attempt == 1  # retry carries the incremented attempt
+
+
+def test_dead_pool_worker_is_an_infra_failure_not_a_crash(tmp_path):
+    """A worker process that dies takes its future down with a
+    ``BrokenProcessPool``; the engine books that attempt as an
+    infrastructure failure and finishes the campaign."""
+    import os
+
+    from repro.campaign import read_quarantine, temporary_task_kind
+    from repro.campaign.artifacts import quarantine_path_for
+    from repro.obs.metrics import global_registry
+
+    parent = os.getpid()
+
+    def die(spec, attempt):
+        if os.getpid() != parent:  # never kill the test process itself
+            os._exit(1)
+        raise AssertionError("must run in a pool worker")
+
+    reg = global_registry()
+    before = reg.counter("backend.infra_failures")
+    out = tmp_path / "dead.jsonl"
+    with temporary_task_kind("dead_worker", die):
+        stats = run_campaign(
+            [ExperimentSpec.make("dead_worker", "mini3", 7)], out,
+            workers=1, retries=0, quarantine=True)
+    assert stats.quarantined == 1 and stats.completed == 0
+    assert reg.counter("backend.infra_failures") == before + 1
+    [entry] = read_quarantine(quarantine_path_for(out))
+    assert entry.error.startswith("BrokenProcessPool(")
 
 
 def test_retry_heap_is_fifo_under_equal_deadlines(tmp_path):

@@ -295,7 +295,7 @@ def test_tracing_never_changes_result_bytes(specs, tmp_path_factory):
     assert b'"wall"' not in sidecars[0]  # sim-time only, no wall clock
 
 
-# --- execute-plane backends never move a result byte --------------------------
+# --- inline vs pooled execution never moves a result byte ---------------------
 
 
 mixed_spec_lists = st.lists(
@@ -311,23 +311,17 @@ mixed_spec_lists = st.lists(
 @settings(max_examples=3)
 @given(specs=mixed_spec_lists)
 def test_artifacts_identical_across_all_backends(specs, tmp_path_factory):
-    """PR 7's execute-plane contract: whichever
-    :mod:`repro.campaign.backends` mechanism runs a mixed-kind campaign
-    — inline, process pool, thread pool, or chunked batching — and at
-    any worker count, the finalized artifact bytes are identical."""
+    """The execute-plane contract: whether a mixed-kind campaign runs
+    inline or on a process pool, and at any worker count, the finalized
+    artifact bytes are identical."""
     base = tmp_path_factory.mktemp("backends")
     reference = None
-    for n, (backend, workers) in enumerate(
-            [("inline", 0),
-             ("process", 1), ("process", 4),
-             ("thread", 1), ("thread", 4),
-             ("chunked", 1), ("chunked", 4)]):
-        path = base / f"{n}-{backend}-w{workers}.jsonl"
-        stats = run_campaign(specs, path, workers=workers,
-                             backend=backend, chunk_size=2)
+    for workers in (0, 1, 4):
+        path = base / f"w{workers}.jsonl"
+        stats = run_campaign(specs, path, workers=workers)
         assert stats.completed == len(specs)
         blob = path.read_bytes()
         if reference is None:
             reference = blob
         else:
-            assert blob == reference, f"{backend} w{workers}"
+            assert blob == reference, f"w{workers}"

@@ -2,7 +2,7 @@
 
 The tentpole contract: splitting a long-horizon scenario task into K
 checkpointed slices (``slice_horizon_s``) changes *nothing* about the
-finalized artifact — not at any K, not on any backend, not after a
+finalized artifact — not at any K, not inline or pooled, not after a
 crash anywhere in the run. These tests pin the engine mechanics the
 ``diff_slice_equivalence`` oracle sweeps more broadly: chain
 scheduling, checkpoint placement, crash-resume from both the artifact
@@ -93,8 +93,7 @@ def test_control_side_channel_never_reaches_the_artifact(runs):
 
 def test_sliced_process_backend_matches_straight(tmp_path):
     out = tmp_path / "pooled.jsonl"
-    stats = run_campaign(_specs(), out, workers=2, backend="process",
-                         resume=False,
+    stats = run_campaign(_specs(), out, workers=2, resume=False,
                          slice_horizon_s=SLICE_HORIZON_S)
     assert stats.completed == len(_specs())
     ref = tmp_path / "straight.jsonl"

@@ -184,3 +184,16 @@ def test_precompile_dedups_worlds_and_skips_testbed_free_kinds():
     checkout_testbed("mini3", seed=7, metrics=reg)
     assert reg.counter("compile.builds") == 2
     assert reg.counter("compile.cache.hits") == 1
+
+
+def test_precompile_compiles_nothing_with_the_cache_disabled():
+    """With no cache to warm, precompiling would build every world only
+    to throw it away; the engine's unconditional call must cost nothing."""
+    reg = MetricsRegistry()
+    specs = [ExperimentSpec.make("survey_pair", "mini3", s, src=0, dst=1)
+             for s in (7, 8)]
+    with compile_cache_disabled():
+        assert precompile_specs(specs, metrics=reg) == 0
+    assert reg.counter("compile.builds") == 0
+    assert reg.counter("compile.cache.bypasses") == 0
+    assert len(compile_cache()) == 0

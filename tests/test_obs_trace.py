@@ -87,9 +87,9 @@ def test_task_trace_disabled_still_scopes():
 
 
 def test_task_trace_is_thread_local():
-    """Regression: the ``thread`` execution backend runs tasks
-    concurrently in one process; overlapping installs on a process-
-    global slot captured each other's events (or none)."""
+    """Regression: tasks run concurrently on threads of one process;
+    overlapping installs on a process-global slot captured each other's
+    events (or none)."""
     import threading
 
     captured = {}

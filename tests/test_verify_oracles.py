@@ -3,6 +3,8 @@ implementations and catches a planted divergence."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.verify.oracles import (
     diff_backend_equivalence,
     diff_default_horizon,
     diff_fault_replay,
-    diff_inline_vs_pool,
     diff_scalar_vs_vectorized,
     diff_seed_relabeling,
     diff_traced_vs_untraced,
@@ -107,30 +108,45 @@ def _probe_specs(n=3):
 
 def test_inline_vs_pool_and_traced_vs_untraced(tmp_path):
     specs = _probe_specs()
-    assert diff_inline_vs_pool(specs, tmp_path / "pool",
-                               workers=2) == []
+    assert diff_backend_equivalence(specs, tmp_path / "pool",
+                                    pool_workers=(2,)) == []
     assert diff_traced_vs_untraced(specs, tmp_path / "trace") == []
 
 
 def test_inline_vs_pool_creates_missing_out_dir(tmp_path):
     nested = tmp_path / "a" / "b" / "c"
-    assert diff_inline_vs_pool(_probe_specs(1), nested, workers=2) == []
-    assert (nested / "inline.jsonl").exists()
+    assert diff_backend_equivalence(_probe_specs(1), nested,
+                                    pool_workers=(2,)) == []
+    assert (nested / "w0.jsonl").exists()
 
 
 def test_backend_equivalence_oracle_passes_on_mixed_kinds(tmp_path):
-    """Every execution backend must produce the same artifact and trace
+    """Inline and pooled runs must produce the same artifact and trace
     bytes on a campaign mixing testbed-bound and testbed-free kinds."""
     specs = _probe_specs(2) + [
         ExperimentSpec.make("survey_pair", "mini3", seed=SEED,
                             src=0, dst=1, duration_s=1.0,
                             interval_s=0.5)]
-    assert diff_backend_equivalence(specs, tmp_path / "backends",
-                                    chunk_size=2) == []
-    for backend, workers in [("inline", 0), ("process", 4),
-                             ("thread", 4), ("chunked", 4)]:
-        assert (tmp_path / "backends"
-                / f"{backend}-w{workers}.jsonl").exists()
+    assert diff_backend_equivalence(specs, tmp_path / "backends") == []
+    for workers in (0, 2, 4):
+        assert (tmp_path / "backends" / f"w{workers}.jsonl").exists()
+        assert (tmp_path / "backends" / f"w{workers}.trace.jsonl").exists()
+
+
+def test_backend_equivalence_oracle_catches_a_divergent_pool(tmp_path):
+    """A task whose result depends on where it ran is reported."""
+    from repro.campaign.tasks import TaskOutput, temporary_task_kind
+
+    parent = os.getpid()
+
+    def drifting(spec, attempt):
+        return TaskOutput(records=[{"inline": os.getpid() == parent}])
+
+    with temporary_task_kind("drifting_probe", drifting):
+        specs = [ExperimentSpec.make("drifting_probe", "mini3", seed=SEED)]
+        diffs = diff_backend_equivalence(specs, tmp_path / "drift",
+                                         pool_workers=(2,), trace=False)
+    assert diffs == ["artifacts first differ at line 2"]
 
 
 # --- seed relabeling ----------------------------------------------------------
