@@ -1,15 +1,11 @@
 """Benchmark fixtures and the ``bench`` marker.
 
-Two benchmark populations live here:
-
-* **figure/table regenerations** — each reruns one paper experiment
-  exactly once via ``benchmark.pedantic(..., rounds=1, iterations=1)``
-  (pytest-benchmark); the timing records the cost of regenerating that
-  figure. Run with ``pytest benchmarks/ --benchmark-only -s``.
-* **harness benchmarks** — thin pytest surfaces over
-  :mod:`repro.bench` (the ``medium.*``/``runner.*``/``obs.*``/
-  ``campaign.*``/``meta.*`` specs), multi-repeat and regression-gated
-  against ``benchmarks/baselines/`` in CI.
+Every module here regenerates one paper figure, table or ablation
+exactly once via ``benchmark.pedantic(..., rounds=1, iterations=1)``
+(pytest-benchmark); the timing records the cost of regenerating that
+figure. Run with ``pytest benchmarks/ --benchmark-only -s``. Performance
+of the simulator itself is measured by ``perfbench/`` (see
+``perfbench/README.md``).
 
 Everything collected under ``benchmarks/`` carries the ``bench`` marker
 (registered in ``pyproject.toml`` and here for standalone rootdirs), so
@@ -30,8 +26,7 @@ def pytest_configure(config):
     # warns about (or strict-fails on) an unknown marker.
     config.addinivalue_line(
         "markers",
-        "bench: performance benchmarks under benchmarks/ "
-        "(figure regenerations and repro.bench harness runs); "
+        "bench: paper figure/table regenerations under benchmarks/; "
         "deselect with -m 'not bench'")
 
 

@@ -11,9 +11,6 @@ Subcommands mirror the paper's workflows::
     python -m repro report FILE --timeline     # per-domain utilisation view
     python -m repro trace FILE                 # inspect a trace sidecar
     python -m repro verify --suite smoke       # verification suites / fuzzer
-    python -m repro bench run --all            # benchmark plane: measure
-    python -m repro bench compare BASELINE     # ... and regression-gate
-    python -m repro bench report FILE          # inspect a BENCH document
 
 Common options: ``--seed`` (testbed world), ``--day``/``--hour``
 (measurement time), ``--av500`` (validation devices).
@@ -348,213 +345,10 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return 1
         print(f"report written to {args.report}")
-    bench_path = os.environ.get("BENCH_VERIFY_JSON")
-    if bench_path:
-        # Suite wall time in the unified BENCH schema (one sample — a
-        # timing record, not a gated multi-repeat benchmark).
-        from repro import bench
-
-        doc = bench.BenchDocument(environment=bench.Environment.capture())
-        doc.add(bench.BenchResult(
-            name=f"verify.{report.suite}", samples_s=(wall_s,),
-            metrics={k: float(v) for k, v in summary.items()
-                     if isinstance(v, (int, float))},
-            tags=("verify", report.preset)))
-        try:
-            bench.write_document(bench_path, doc)
-        except OSError as exc:
-            print(f"error: cannot write {bench_path}: {exc}",
-                  file=sys.stderr)
-            return 1
     if not report.ok:
         print(f"error: {summary['failed']} verification check(s) "
               f"failed", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_bench_run(args) -> int:
-    """Run registered benchmarks into one unified BENCH document."""
-    from repro import bench
-
-    bench.load_default_benchmarks()
-    if args.names and args.all:
-        print("error: give benchmark names or --all, not both",
-              file=sys.stderr)
-        return 2
-    if not args.names and not args.all:
-        print("error: name at least one benchmark or pass --all "
-              "(see `repro bench list`)", file=sys.stderr)
-        return 2
-    try:
-        names = (list(bench.benchmark_names()) if args.all
-                 else [bench.get_benchmark(n).name for n in args.names])
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    def progress(name, result):
-        if not args.quiet:
-            print(f"{name}: min {result.min_s:.4f}s "
-                  f"mean {result.mean_s:.4f}s "
-                  f"({result.repeats} repeats, "
-                  f"{result.warmup_discarded} warmup)")
-
-    doc = bench.run_benchmarks(names, repeats=args.repeats,
-                               warmup=args.warmup, progress=progress)
-    if args.out:
-        try:
-            bench.write_document(args.out, doc)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"BENCH document written to {args.out}")
-    if args.trajectory:
-        try:
-            bench.append_trajectory(args.trajectory, doc)
-        except OSError as exc:
-            print(f"error: cannot append to {args.trajectory}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"trajectory appended to {args.trajectory}")
-    env = doc.environment
-    print(f"{len(doc.results)} benchmark(s) over domains "
-          f"{', '.join(doc.domains())} "
-          f"(python {env.python}, {env.cpu_count} cpu, "
-          f"git {env.git_sha[:12] if env.git_sha else 'n/a'})")
-    if not args.no_smoke:
-        violations = bench.check_smoke(doc)
-        if violations:
-            print(f"error: {len(violations)} smoke-floor violation(s):",
-                  file=sys.stderr)
-            for v in violations:
-                print(f"  {v}", file=sys.stderr)
-            return 1
-        print("smoke floors: all hold")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    """Gate a candidate run (file, or live) against a baseline."""
-    from repro import bench
-
-    bench.load_default_benchmarks()
-    baseline_path = bench.find_document(args.baseline)
-    try:
-        baseline = bench.read_document(baseline_path)
-    except OSError as exc:
-        print(f"error: cannot read baseline {baseline_path}: {exc}",
-              file=sys.stderr)
-        return 1
-    except bench.SchemaVersionError as exc:
-        print(f"error: baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: baseline {baseline_path}: {exc}", file=sys.stderr)
-        return 1
-
-    if args.candidate:
-        try:
-            candidate = bench.read_document(args.candidate)
-        except OSError as exc:
-            print(f"error: cannot read candidate {args.candidate}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:  # includes SchemaVersionError
-            print(f"error: candidate {args.candidate}: {exc}",
-                  file=sys.stderr)
-            return 1
-    else:
-        registered = set(bench.benchmark_names())
-        names = [n for n in sorted(baseline.results) if n in registered]
-        if not names:
-            print("error: no benchmark in the baseline is registered "
-                  "in this harness", file=sys.stderr)
-            return 1
-        candidate = bench.run_benchmarks(names)
-
-    thresholds = {}
-    if args.warn_ratio is not None:
-        thresholds["warn_ratio"] = args.warn_ratio
-    if args.fail_ratio is not None:
-        thresholds["fail_ratio"] = args.fail_ratio
-    comparison = bench.compare_documents(baseline, candidate,
-                                         **thresholds)
-    print(bench.format_comparison(comparison))
-    return 0 if comparison.ok else 1
-
-
-def cmd_bench_report(args) -> int:
-    """Summarise a BENCH document or a trajectory file."""
-    from repro import bench
-
-    if args.trajectory:
-        records = bench.read_trajectory(args.file)
-        if not records:
-            print(f"error: no trajectory records in {args.file}",
-                  file=sys.stderr)
-            return 1
-        print(f"trajectory {args.file}: {len(records)} run(s)")
-        names = sorted({name for rec in records
-                        for name in rec.get("min_s", {})})
-        rows = []
-        for name in names:
-            series = [rec["min_s"][name] for rec in records
-                      if name in rec.get("min_s", {})]
-            rows.append([name, len(series), series[0], series[-1],
-                         series[-1] / series[0]])
-        print(format_table(
-            ["benchmark", "runs", "first min (s)", "last min (s)",
-             "last/first"],
-            rows, title="per-benchmark trajectory"))
-        return 0
-
-    try:
-        doc = bench.read_document(bench.find_document(args.file))
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # includes SchemaVersionError
-        print(f"error: {args.file}: {exc}", file=sys.stderr)
-        return 1
-    env = doc.environment
-    print(f"BENCH document: {len(doc.results)} benchmark(s), domains "
-          f"{', '.join(doc.domains())}")
-    print(f"environment: python {env.python} on {env.platform}, "
-          f"{env.cpu_count} cpu, numpy {env.numpy}, "
-          f"git {env.git_sha or 'n/a'}")
-    rows = []
-    for name, result in sorted(doc.results.items()):
-        rows.append([name, result.repeats, result.min_s, result.mean_s,
-                     result.figure or "-"])
-    print(format_table(
-        ["benchmark", "repeats", "min (s)", "mean (s)", "figure"],
-        rows, title="results (min-of-repeats is the gated statistic)"))
-    for name, result in sorted(doc.results.items()):
-        if result.metrics:
-            metrics = ", ".join(f"{k}={v:g}" for k, v
-                                in sorted(result.metrics.items()))
-            print(f"  {name}: {metrics}")
-    return 0
-
-
-def cmd_bench_list(args) -> int:
-    """List registered benchmarks with their manifest modules."""
-    from repro import bench
-    from repro.bench.manifest import module_for
-
-    bench.load_default_benchmarks()
-    rows = []
-    for spec in bench.iter_benchmarks():
-        try:
-            module = module_for(spec.name)
-        except KeyError:
-            module = "<unclaimed>"
-        rows.append([spec.name, spec.repeats, spec.warmup, module])
-    print(format_table(
-        ["benchmark", "repeats", "warmup", "benchmarks/ module"],
-        rows, title=f"{len(rows)} registered benchmark(s)"))
     return 0
 
 
@@ -799,64 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "instead of running a suite")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser(
-        "bench", help="benchmark plane: run registered benchmarks, "
-                      "regression-gate against baselines, inspect BENCH "
-                      "documents and trajectories")
-    bench_sub = p_bench.add_subparsers(dest="bench_command",
-                                       required=True)
-
-    pb_run = bench_sub.add_parser(
-        "run", help="run benchmarks into one unified BENCH document")
-    pb_run.add_argument("names", nargs="*",
-                        help="benchmark names (see `repro bench list`)")
-    pb_run.add_argument("--all", action="store_true",
-                        help="run every registered benchmark")
-    pb_run.add_argument("--out",
-                        help="write the BENCH JSON document here")
-    pb_run.add_argument("--trajectory",
-                        help="append a one-line trajectory record here")
-    pb_run.add_argument("--repeats", type=int, default=None,
-                        help="override every spec's repeat count")
-    pb_run.add_argument("--warmup", type=int, default=None,
-                        help="override every spec's warmup count")
-    pb_run.add_argument("--no-smoke", action="store_true",
-                        help="skip the absolute smoke floors")
-    pb_run.add_argument("--quiet", action="store_true",
-                        help="suppress per-benchmark progress lines")
-    pb_run.set_defaults(func=cmd_bench_run)
-
-    pb_compare = bench_sub.add_parser(
-        "compare", help="gate a candidate run against a baseline "
-                        "(noise-aware: min-of-repeats + bootstrap band)")
-    pb_compare.add_argument("baseline",
-                            help="baseline BENCH file, or a directory "
-                                 "holding BENCH.json (e.g. "
-                                 "benchmarks/baselines/)")
-    pb_compare.add_argument("candidate", nargs="?",
-                            help="candidate BENCH file (default: run "
-                                 "the baseline's benchmarks live)")
-    pb_compare.add_argument("--warn-ratio", type=float, default=None,
-                            help="min-ratio above which to warn "
-                                 "(default 1.2)")
-    pb_compare.add_argument("--fail-ratio", type=float, default=None,
-                            help="ratio the whole bootstrap band must "
-                                 "clear to fail (default 1.5)")
-    pb_compare.set_defaults(func=cmd_bench_compare)
-
-    pb_report = bench_sub.add_parser(
-        "report", help="summarise a BENCH document or trajectory")
-    pb_report.add_argument("file",
-                           help="BENCH JSON document (or baselines "
-                                "directory), or a trajectory file with "
-                                "--trajectory")
-    pb_report.add_argument("--trajectory", action="store_true",
-                           help="treat FILE as a trajectory JSONL file")
-    pb_report.set_defaults(func=cmd_bench_report)
-
-    pb_list = bench_sub.add_parser(
-        "list", help="list registered benchmarks and their modules")
-    pb_list.set_defaults(func=cmd_bench_list)
     return parser
 
 

@@ -164,9 +164,10 @@ def reset_compile_cache() -> None:
 def compile_cache_disabled():
     """Bypass the cache: every checkout compiles from scratch.
 
-    This is the pre-compile-plane behaviour — benchmarks use it as the
-    *cold* baseline, and the differential oracles use it to show caching
-    never moves a byte.
+    This is the pre-compile-plane behaviour. ``tests/test_compile.py``
+    uses it to show caching never moves a byte, and
+    :func:`precompile_specs` reads it to skip warming a cache that is
+    not there.
     """
     global _cache_enabled
     previous = _cache_enabled

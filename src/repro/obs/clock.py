@@ -73,6 +73,3 @@ class FakeClock:
             raise ValueError("time cannot move backwards")
         self._now += seconds
 
-
-#: Shared default so call sites can write ``clock or DEFAULT_CLOCK``.
-DEFAULT_CLOCK = SystemClock()

@@ -10,14 +10,13 @@ One document shape for every snapshot kind::
       "payload": { ... }                  # component state, JSON-safe
     }
 
-Design mirrors :mod:`repro.bench.schema`: an explicit ``format`` /
-``version`` header so foreign or future documents are *refused* (a
-``SnapshotVersionError``), never half-parsed; dumps are canonical
-(sorted keys, NaN-refusing, trailing newline) so identical worlds
-produce identical bytes; and the payload is content-addressed — a blob
-whose ``content_hash`` no longer matches its payload raises
-``SnapshotIntegrityError`` instead of silently restoring a corrupted
-world into a "deterministic" run.
+An explicit ``format`` / ``version`` header means foreign or future
+documents are *refused* (a ``SnapshotVersionError``), never
+half-parsed; dumps are canonical (sorted keys, NaN-refusing, trailing
+newline) so identical worlds produce identical bytes; and the payload
+is content-addressed — a blob whose ``content_hash`` no longer matches
+its payload raises ``SnapshotIntegrityError`` instead of silently
+restoring a corrupted world into a "deterministic" run.
 
 Floats survive exactly: ``json`` emits the shortest ``repr`` that
 round-trips, so an accumulated simulation time ``t`` restores to the

@@ -10,7 +10,7 @@ A verify run (suite or fuzz) emits one report file:
 * a final summary line with the pass/fail census.
 
 Wall-clock timings never appear in the report (they would break the
-canonical-bytes property); they go to ``BENCH_verify.json`` via the CLI.
+canonical-bytes property); the CLI prints the suite's wall time instead.
 """
 
 from __future__ import annotations

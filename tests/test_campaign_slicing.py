@@ -19,7 +19,9 @@ import shutil
 import pytest
 
 from repro.campaign import ExperimentSpec, run_campaign
+from repro.campaign.backends import InlineExecutor
 from repro.snapshot import snapshot_dir_for
+from repro.snapshot.store import SnapshotStore
 
 pytestmark = pytest.mark.slow
 
@@ -192,3 +194,74 @@ def test_cli_slice_horizon_flag_plumbs_through(tmp_path, capsys):
                  ref, name="scenario-mini3", workers=0, resume=False)
     assert out.read_bytes() == ref.read_bytes()
     assert snapshot_dir_for(out).is_dir()
+
+
+# --- checkpoint and pipelining counts -----------------------------------------
+
+
+class _RecordingPool(InlineExecutor):
+    """Stands in for the process pool: runs each attempt at submit time
+    and counts it in flight until the engine collects its outcome (the
+    engine reads ``exception()`` once per attempt, when it retires it)."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.in_flight = 0
+        self.peak = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        outcome = future.exception
+
+        def collect(timeout=None):
+            self.in_flight -= 1
+            future.exception = outcome
+            return outcome(timeout)
+
+        future.exception = collect
+        return future
+
+
+@pytest.mark.parametrize("workers,chains", [(2, 3), (4, 3)])
+def test_slice_chains_checkpoint_and_pipeline_by_count(
+        tmp_path, monkeypatch, workers, chains):
+    """``chains`` two-day longhaul tasks cut into ``slices`` slices write
+    and restore exactly ``slices - 1`` checkpoints each, and the engine
+    keeps ``min(workers, chains)`` slices in flight."""
+    slices, horizon = 4, 2 * 24 * 3600.0
+    saves, loads = [], []
+    save, load = SnapshotStore.save, SnapshotStore.load
+
+    def counting_save(store, task_key, index, snap):
+        saves.append(task_key)
+        return save(store, task_key, index, snap)
+
+    def counting_load(store, task_key, index):
+        loads.append(task_key)
+        return load(store, task_key, index)
+
+    monkeypatch.setattr(SnapshotStore, "save", counting_save)
+    monkeypatch.setattr(SnapshotStore, "load", counting_load)
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(_RecordingPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr("repro.campaign.engine.ProcessPoolExecutor",
+                        recording_pool)
+    specs = [ExperimentSpec.make("scenario", PRESET, 7 + k,
+                                 scenario="mini3-longhaul",
+                                 horizon_s=horizon, quantum_s=7200.0)
+             for k in range(chains)]
+    stats = run_campaign(specs, tmp_path / "chains.jsonl",
+                         workers=workers, resume=False,
+                         slice_horizon_s=horizon / slices)
+    assert stats.completed == chains
+    expected = sorted(spec.task_key() for spec in specs) * (slices - 1)
+    assert sorted(saves) == sorted(loads) == sorted(expected)
+    (pool,) = pools
+    assert pool.max_workers == workers
+    assert pool.peak == min(workers, chains)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaign import ExperimentSpec
+from repro.campaign import ExperimentSpec, run_campaign
 from repro.compile import (
     COMPILE_CACHE_ENTRIES,
     CompiledTestbed,
@@ -27,7 +27,7 @@ from repro.compile import (
     reset_compile_cache,
     testbed_fingerprint as fingerprint_of,  # pytest collects `test*` names
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, global_registry
 from repro.testbed.builder import build_preset_testbed
 from repro.testbed.experiments import measure_pair
 
@@ -164,6 +164,32 @@ def test_compile_testbed_always_builds():
     assert a is not b
     assert reg.counter("compile.builds") == 2
     assert reg.counter("compile.build_seconds") >= 0.0
+
+
+def test_campaign_builds_its_world_once_then_only_hits(tmp_path):
+    """A single-world campaign compiles once and every task checks out
+    from the cache; a second campaign over that world builds nothing."""
+    specs = [ExperimentSpec.make("survey_pair", "mini3", 7, src=k % 3,
+                                 dst=(k + 1) % 3, hour=8.0 + k * 0.25,
+                                 duration_s=0.5, interval_s=0.5)
+             for k in range(12)]
+    reg = global_registry()
+
+    def run(name):
+        builds = reg.counter("compile.builds")
+        hits = reg.counter("compile.cache.hits")
+        stats = run_campaign(specs, tmp_path / f"{name}.jsonl", workers=0,
+                             resume=False)
+        assert stats.completed == len(specs)
+        return (reg.counter("compile.builds") - builds,
+                reg.counter("compile.cache.hits") - hits)
+
+    builds, hits = run("first")
+    assert builds == 1
+    assert hits >= len(specs)
+    builds, hits = run("second")
+    assert builds == 0
+    assert hits >= len(specs)
 
 
 # --- precompilation -----------------------------------------------------------

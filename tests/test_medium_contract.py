@@ -7,6 +7,8 @@ the synthetic two-metric model):
   (bit-for-bit, every column), in both ``measured`` modes;
 * series are deterministic functions of the world seed (and of seeds
   derived through :func:`repro.sim.random.derive_seed`);
+* the batch path evaluates each channel state once, not once per
+  timestamp;
 * no consumer outside the ``plc``/``wifi`` packages imports channel/PHY
   internals — capacities flow only through the contract.
 """
@@ -35,6 +37,7 @@ from repro.netsim.scenario import FlowRequest
 from repro.sim.random import RandomStreams, derive_seed
 from repro.testbed.builder import build_testbed
 from repro.testbed.experiments import night_start, working_hours_start
+from repro.wifi.channel import COHERENCE_TIME_S, WifiChannel
 from repro.wifi.link import CAPACITY_PROBE_COUNT
 
 _TM_PARAMS = TwoMetricParameters(
@@ -102,6 +105,45 @@ def test_sample_series_matches_scalar_loop(kind, measured, world_pair):
         assert np.array_equal(batch.data[field], reference.data[field]), (
             f"{kind}: column {field!r} differs between sample_series and "
             f"the scalar sample loop (measured={measured})")
+
+
+#: The §4.1 survey window: 5 minutes of 100 ms reports.
+SURVEY_WINDOW = working_hours_start() + np.arange(0.0, 300.0, 0.1)
+
+
+def _counting(monkeypatch, owner, attr):
+    """Wrap ``owner.attr`` so each call bumps the returned counter."""
+    calls = [0]
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def test_plc_series_runs_the_phy_once_per_channel_group(monkeypatch):
+    from repro.plc import phy
+
+    link = build_testbed(seed=7).plc_link(0, 1)
+    ts = SURVEY_WINDOW
+    n_groups = len(link.channel.snr_series_groups(ts))
+    calls = _counting(monkeypatch, phy, "ble_from_snr")
+    link.sample_series(ts, measured=False)
+    assert calls[0] == n_groups
+    assert n_groups < len(ts)
+
+
+def test_wifi_series_draws_fading_once_per_coherence_block(monkeypatch):
+    link = build_testbed(seed=7).wifi_link(0, 1)
+    ts = SURVEY_WINDOW
+    n_blocks = len(np.unique((ts / COHERENCE_TIME_S).astype(np.int64)))
+    calls = _counting(monkeypatch, WifiChannel, "_draw_block_state")
+    link.sample_series(ts, measured=False)
+    assert calls[0] == n_blocks
+    assert n_blocks < len(ts)
 
 
 @pytest.mark.parametrize("kind", ["plc", "wifi", "two-metric"])

@@ -1,9 +1,9 @@
 """Network-level scenario simulation."""
 
-import numpy as np
 import pytest
 
 from repro.netsim import FlowRequest, Scenario, ScenarioRunner
+from repro.obs import MetricsRegistry, Profiler, Tracer
 from repro.units import MBPS
 
 
@@ -202,3 +202,44 @@ def test_many_flows_share_one_domain(testbed, t_work):
                                                      measured=False)
         share = results[f"f{k}"].mean_rate_bps
         assert share == pytest.approx(solo / 5, rel=0.4)
+
+
+NINE_FLOW_HORIZON_S = 60.0
+
+
+def _nine_flow_scenario(t0):
+    """Saturated PLC on both boards, a CBR, a hybrid bond and WiFi."""
+    duration = NINE_FLOW_HORIZON_S
+    scenario = Scenario("nine")
+    pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (13, 14)]
+    for k, (i, j) in enumerate(pairs):
+        scenario.add(FlowRequest(f"sat{k}", i, j, t0, duration_s=duration))
+    scenario.add(FlowRequest("cbr0", 6, 7, t0, kind="cbr",
+                             rate_bps=2 * MBPS, duration_s=duration))
+    scenario.add(FlowRequest("hyb", 8, 9, t0, medium="hybrid",
+                             duration_s=duration))
+    scenario.add(FlowRequest("wifi0", 13, 14, t0, medium="wifi",
+                             duration_s=duration))
+    return scenario
+
+
+def test_nine_mixed_flows_keep_the_runner_contract(testbed, t_work):
+    """Nine mixed flows under tracing and profiling: exact quanta, no
+    invariant violation, the CBR cap, bytes on every flow, a warm
+    capacity cache, and every quantum seen by both observers."""
+    tracer = Tracer()
+    profiler = Profiler(metrics=MetricsRegistry())
+    runner = ScenarioRunner(testbed, check_invariants=True,
+                            tracer=tracer, profiler=profiler)
+    results = runner.run(_nine_flow_scenario(t_work),
+                         horizon_s=NINE_FLOW_HORIZON_S)
+    quanta = NINE_FLOW_HORIZON_S / runner.quantum_s
+    stats = runner.stats
+    assert stats.quanta == quanta
+    assert stats.invariant_violations == 0
+    assert stats.max_domain_airtime <= 1.0 + 1e-6
+    assert results["cbr0"].mean_rate_bps <= 2 * MBPS * (1 + 1e-9)
+    assert all(r.delivered_bytes > 0 for r in results.values())
+    assert stats.cache.hit_rate > 0.9          # 5 s window, 0.5 s quantum
+    assert profiler.summary()["runner.allocate"]["calls"] == quanta
+    assert len(tracer.events) > quanta

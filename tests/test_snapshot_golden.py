@@ -1,13 +1,13 @@
 """The snapshot wire format: golden document, refusal battery, store.
 
-Mirrors ``tests/test_bench_schema.py``: the checked-in golden under
-``tests/golden/snapshot_runner.json`` freezes the exact document a
-paused canonical run serialises to — any unintentional payload or
-header change shows up as a golden diff, and an *intentional* change
-forces a deliberate ``--update-golden`` (and, for shape changes, a
-``SNAPSHOT_VERSION`` bump). The refusal battery pins the other half of
-the contract: unversioned, foreign, future or corrupt blobs are
-refused loudly, never half-restored into a "deterministic" run.
+The checked-in golden under ``tests/golden/snapshot_runner.json``
+freezes the exact document a paused canonical run serialises to — any
+unintentional payload or header change shows up as a golden diff, and
+an *intentional* change forces a deliberate ``--update-golden`` (and,
+for shape changes, a ``SNAPSHOT_VERSION`` bump). The refusal battery
+pins the other half of the contract: unversioned, foreign, future or
+corrupt blobs are refused loudly, never half-restored into a
+"deterministic" run.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def test_refuses_unversioned_blob():
 
 def test_refuses_foreign_format():
     blob = _valid_document()
-    blob["format"] = "repro-bench"
+    blob["format"] = "verify-report"
     with pytest.raises(SnapshotVersionError,
                        match="not a repro-snapshot document"):
         load_snapshot(json.dumps(blob))

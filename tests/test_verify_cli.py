@@ -1,5 +1,5 @@
 """CLI tests for ``repro verify`` and ``repro campaign --check``:
-error paths, exit codes, report/bench emission, and the replay flow."""
+error paths, exit codes, report emission, and the replay flow."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.bench.schema import read_document
 from repro.campaign.spec import ExperimentSpec
 from repro.cli import main
 from repro.verify.fuzzer import ScenarioFuzzer
@@ -74,15 +73,12 @@ def test_replay_exits_nonzero_when_checks_fail(tmp_path, capsys):
     assert "replayed verify_case/mini3" in out
 
 
-# --- suite run with report + bench emission -----------------------------------
+# --- suite run with report emission ------------------------------------------
 
 
 @pytest.mark.slow
-def test_smoke_suite_writes_report_and_bench(tmp_path, capsys,
-                                             monkeypatch):
+def test_smoke_suite_writes_report(tmp_path, capsys):
     report_path = tmp_path / "verify.jsonl"
-    bench_path = tmp_path / "BENCH_verify.json"
-    monkeypatch.setenv("BENCH_VERIFY_JSON", str(bench_path))
     rc = main(["verify", "--suite", "smoke", "--seed", str(SEED),
                "--report", str(report_path)])
     out = capsys.readouterr().out
@@ -92,13 +88,6 @@ def test_smoke_suite_writes_report_and_bench(tmp_path, capsys,
     header, results = read_report(report_path)
     assert header["suite"] == "smoke"
     assert results and all(r.passed for r in results)
-
-    # The timing record rides in the unified repro-bench schema.
-    doc = read_document(bench_path)
-    result = doc.results["verify.smoke"]
-    assert result.min_s > 0
-    assert result.metrics["failed"] == 0.0
-    assert "verify" in result.tags
 
 
 @pytest.mark.fuzz
