@@ -130,6 +130,9 @@ class PlcChannel:
             None, None)
         self._snr_cache: Tuple[Optional[tuple], Optional[np.ndarray]] = (
             None, None)
+        # Fixed excess electrical length per tap (appliance id -> metres),
+        # drawn on first use.
+        self._tap_spread_m: Dict[str, float] = {}
 
     # --- multipath transfer function ------------------------------------------
 
@@ -176,9 +179,7 @@ class PlcChannel:
             gamma = appliance.kind.reflection_coefficient(powered_on)
             if gamma < 1e-3:
                 continue
-            spread_rng = self._streams.fresh(
-                f"plc.tap-length.{appliance.instance_id}")
-            d_path = d_direct + extra + float(spread_rng.uniform(0.0, 6.0))
+            d_path = d_direct + extra + self._tap_spread(appliance)
             amp = 0.85 * gamma * through * np.exp(-self._alpha * d_path)
             h += amp * np.exp(
                 -2j * np.pi * f * d_path / PROPAGATION_SPEED)
@@ -193,6 +194,15 @@ class PlcChannel:
         local_shape = np.clip((f / 8.0e6) ** -0.6, 0.3, 2.5)
         loss_db += 6.0 * min(local_load_rx, 2.5) * local_shape
         return loss_db
+
+    def _tap_spread(self, appliance) -> float:
+        spread = self._tap_spread_m.get(appliance.instance_id)
+        if spread is None:
+            rng = self._streams.fresh(
+                f"plc.tap-length.{appliance.instance_id}")
+            spread = self._tap_spread_m[appliance.instance_id] = float(
+                rng.uniform(0.0, 6.0))
+        return spread
 
     # --- noise ------------------------------------------------------------------
 

@@ -168,18 +168,37 @@ class PlcLink(BatchSamplingMixin):
 
     # --- convenience --------------------------------------------------------------------
 
+    def _evaluate(self, base_snr_db: np.ndarray, snr_db: np.ndarray,
+                  impulsive_rate_hz: float):
+        """One PHY/MAC pass over a channel state: ``(per-slot BLE, avg
+        BLE, PBerr, capacity, unmeasured throughput)``."""
+        per_slot = phy.ble_from_snr(snr_db, self.spec,
+                                    impulsive_rate_hz=impulsive_rate_hz)
+        avg_ble = float(np.mean(per_slot))
+        pb = self._pb_err_from_grids(base_snr_db, snr_db, impulsive_rate_hz)
+        residual = max(0.0, pb - self.spec.target_pb_error)
+        thr = self._throughput_model.throughput_bps(avg_ble, residual)
+        capacity = float(max(
+            self._throughput_model.throughput_bps(avg_ble), 0.0))
+        return per_slot, avg_ble, pb, capacity, thr if thr > 0 else 0.0
+
     def sample(self, t: float, measured: bool = True) -> PlcSample:
         """Take a full measurement snapshot at ``t``."""
         self.metrics.inc("medium.plc.samples")
-        per_slot = self.ble_per_slot_bps(t)
-        pb = self.pb_err(t)
+        channel = self.channel
+        per_slot, avg_ble, pb, capacity, thr = self._evaluate(
+            channel.snr_db(t, include_jitter=False), channel.snr_db(t),
+            channel.load.impulsive_event_rate_at(channel.dst_outlet, t))
+        if thr > 0 and measured:
+            thr = max(thr + self._rng.normal(0.0, MEASUREMENT_NOISE_BPS),
+                      0.0)
         return PlcSample(
             time=t,
-            capacity_bps=self.capacity_bps(t),
-            throughput_bps=self.throughput_bps(t, measured=measured),
+            capacity_bps=capacity,
+            throughput_bps=thr,
             loss=pb,
             ble_per_slot_bps=per_slot,
-            avg_ble_bps=float(np.mean(per_slot)),
+            avg_ble_bps=avg_ble,
             pb_err=pb,
         )
 
@@ -203,22 +222,15 @@ class PlcLink(BatchSamplingMixin):
         data = series.data
         data["time"] = ts
         for group in self.channel.snr_series_groups(ts):
-            per_slot = phy.ble_from_snr(
-                group.snr_db, self.spec,
-                impulsive_rate_hz=group.impulsive_rate_hz)
-            avg_ble = float(np.mean(per_slot))
-            pb = self._pb_err_from_grids(group.base_snr_db, group.snr_db,
-                                         group.impulsive_rate_hz)
-            residual = max(0.0, pb - self.spec.target_pb_error)
-            thr = self._throughput_model.throughput_bps(avg_ble, residual)
+            per_slot, avg_ble, pb, capacity, thr = self._evaluate(
+                group.base_snr_db, group.snr_db, group.impulsive_rate_hz)
             idx = group.indices
             data["ble_per_slot_bps"][idx] = per_slot
             data["avg_ble_bps"][idx] = avg_ble
             data["pb_err"][idx] = pb
             data["loss"][idx] = pb
-            data["capacity_bps"][idx] = max(
-                self._throughput_model.throughput_bps(avg_ble), 0.0)
-            data["throughput_bps"][idx] = thr if thr > 0 else 0.0
+            data["capacity_bps"][idx] = capacity
+            data["throughput_bps"][idx] = thr
         if measured:
             thr_col = data["throughput_bps"]
             positive = thr_col > 0

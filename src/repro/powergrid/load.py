@@ -4,7 +4,10 @@
 It answers, for any simulated time:
 
 * which appliances are on (`state_signature`) — determines the multipath
-  structure (random-scale attenuation changes, §6.3);
+  structure (random-scale attenuation changes, §6.3). The signature is
+  memoised over the interval in which no appliance can switch
+  (:meth:`OfficeActivityModel.state_interval`), and everything else here
+  derives from it;
 * the noise each outlet *hears* per tone-map slot (`noise_psd_at`) — the
   invariance-scale structure (§6.1) plus the receiver-local component that
   creates link asymmetry (§5).
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache import CacheStats
 from repro.powergrid.activity import OfficeActivityModel
 from repro.powergrid.appliances import ApplianceInstance
 from repro.powergrid.topology import GridTopology
@@ -70,10 +74,25 @@ class ElectricalLoad:
         self.num_slots = num_slots
         self._distance_cache: Dict[Tuple[str, str], float] = {}
         self._noise_cache: Dict[str, _NoiseCacheEntry] = {}
-        # Static per-path geometry: (src, dst) -> (appliance, extra_m) pairs.
+        # Impulsive rate per outlet, keyed like the noise cache.
+        self._impulse_cache: Dict[str, Tuple[Tuple[bool, ...], float]] = {}
+        # Static per-path geometry: (src, dst) -> (appliance, extra_m,
+        # signature index) triples.
         self._tap_geometry_cache: Dict[Tuple[str, str],
-                                       List[Tuple[ApplianceInstance,
-                                                  float]]] = {}
+                                       List[Tuple[ApplianceInstance, float,
+                                                  int]]] = {}
+        # Signature memo: appliance i's state holds on [_since[i],
+        # _until[i]); the signature on the intersection [_sig_lo, _sig_hi).
+        n = len(self.appliances)
+        self._states: List[bool] = [False] * n
+        self._since: List[float] = [np.inf] * n
+        self._until: List[float] = [-np.inf] * n
+        self._signature: Tuple[bool, ...] = ()
+        self._sig_lo = np.inf
+        self._sig_hi = -np.inf
+        #: Signature memo lookups: a miss is one refresh of the appliances
+        #: whose interval expired.
+        self.signature_stats = CacheStats()
         # Pre-normalised slot profiles, shape (n_appliances, num_slots).
         self._slot_profiles = np.array(
             [a.kind.slot_noise_multipliers() for a in self.appliances]
@@ -84,14 +103,31 @@ class ElectricalLoad:
     # --- appliance state ------------------------------------------------------
 
     def state_signature(self, t: float) -> Tuple[bool, ...]:
-        """On/off vector of all appliances at ``t`` (sorted by instance)."""
-        return self.activity.state_signature(self.appliances, t)
+        """On/off vector of all appliances at ``t`` (sorted by instance).
 
-    def active_appliances(self, t: float) -> List[ApplianceInstance]:
-        return [a for a in self.appliances if self.activity.is_on(a, t)]
+        Served from the memo while ``t`` lies in its interval, at any
+        query order. While an activity overlay is installed (fault
+        injection) every query scans ``is_on`` and the memo is left alone.
+        """
+        activity = self.activity
+        if activity.overlay is not None:
+            return activity.state_signature(self.appliances, t)
+        if self._sig_lo <= t < self._sig_hi:
+            self.signature_stats.hits += 1
+            return self._signature
+        self.signature_stats.misses += 1
+        states, since, until = self._states, self._since, self._until
+        for i, appliance in enumerate(self.appliances):
+            if not since[i] <= t < until[i]:
+                states[i] = activity.is_on(appliance, t)
+                since[i], until[i] = activity.state_interval(appliance, t)
+        self._signature = tuple(states)
+        self._sig_lo = max(since, default=-np.inf)
+        self._sig_hi = min(until, default=np.inf)
+        return self._signature
 
     def active_count(self, t: float) -> int:
-        return self.activity.active_count(self.appliances, t)
+        return sum(1 for on in self.state_signature(t) if on)
 
     # --- noise ------------------------------------------------------------------
 
@@ -142,13 +178,20 @@ class ElectricalLoad:
         Distance-weighted sum of active appliances' impulsive rates; feeds the
         bursty-error model in the channel estimator.
         """
+        signature = self.state_signature(t)
+        cached = self._impulse_cache.get(outlet_id)
+        if cached is not None and cached[0] == signature:
+            return cached[1]
         rate = 0.0
-        for appliance in self.active_appliances(t):
+        for appliance, on in zip(self.appliances, signature):
+            if not on:
+                continue
             d = self._distance(appliance.outlet_id, outlet_id)
             if not np.isfinite(d):
                 continue
             weight = 10.0 ** (-NOISE_CABLE_LOSS_DB_PER_M * d / 20.0)
             rate += appliance.kind.impulsive_rate_hz * weight
+        self._impulse_cache[outlet_id] = (signature, rate)
         return rate
 
     # --- taps / reflections ---------------------------------------------------------
@@ -161,8 +204,8 @@ class ElectricalLoad:
         Returns ``(appliance, extra_path_metres, powered_on)`` triples where
         ``extra_path_metres`` is the additional cable length of the reflected
         path (twice the branch stub length). The geometry (which appliances
-        tap the path, and where) is static and cached; only the powered-on
-        flag is re-evaluated per call.
+        tap the path, and where) is static and cached; the powered-on flag
+        comes from the state signature at ``t``.
         """
         key = (src_outlet, dst_outlet)
         geometry = self._tap_geometry_cache.get(key)
@@ -173,7 +216,7 @@ class ElectricalLoad:
                               for br in branches}
             on_path = set(self.grid.signal_path(src_outlet, dst_outlet))
             geometry = []
-            for appliance in self.appliances:
+            for index, appliance in enumerate(self.appliances):
                 stub = branch_end_len.get(appliance.outlet_id)
                 if stub is None:
                     # Appliance on the path itself: reflection with no extra
@@ -182,7 +225,8 @@ class ElectricalLoad:
                         stub = 1.0
                     else:
                         continue
-                geometry.append((appliance, 2.0 * stub))
+                geometry.append((appliance, 2.0 * stub, index))
             self._tap_geometry_cache[key] = geometry
-        return [(appliance, extra, self.activity.is_on(appliance, t))
-                for appliance, extra in geometry]
+        signature = self.state_signature(t)
+        return [(appliance, extra, signature[index])
+                for appliance, extra, index in geometry]

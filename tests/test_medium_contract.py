@@ -8,7 +8,7 @@ the synthetic two-metric model):
 * series are deterministic functions of the world seed (and of seeds
   derived through :func:`repro.sim.random.derive_seed`);
 * the batch path evaluates each channel state once, not once per
-  timestamp;
+  timestamp, and a scalar ``sample`` runs the PLC PHY chain once;
 * no consumer outside the ``plc``/``wifi`` packages imports channel/PHY
   internals — capacities flow only through the contract.
 """
@@ -134,6 +134,16 @@ def test_plc_series_runs_the_phy_once_per_channel_group(monkeypatch):
     link.sample_series(ts, measured=False)
     assert calls[0] == n_groups
     assert n_groups < len(ts)
+
+
+def test_plc_sample_runs_the_phy_once_per_call(monkeypatch):
+    from repro.plc import phy
+
+    link = build_testbed(seed=7).plc_link(0, 1)
+    calls = _counting(monkeypatch, phy, "ble_from_snr")
+    for t in SURVEY_WINDOW[:50]:
+        link.sample(float(t))
+    assert calls[0] == 50
 
 
 def test_wifi_series_draws_fading_once_per_coherence_block(monkeypatch):
